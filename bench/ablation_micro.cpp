@@ -15,7 +15,6 @@
 #include "sensor_msgs/Image.h"
 #include "sensor_msgs/sfm/Image.h"
 #include "serialization/flatbuf_mini.h"
-#include "serialization/msgpack_mini.h"
 #include "serialization/protobuf_mini.h"
 #include "serialization/ros1.h"
 #include "serialization/xcdr2.h"
@@ -66,16 +65,6 @@ void BM_ProtobufEncode(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ProtobufEncode)->Arg(1024 * 1024)->Arg(6 * 1024 * 1024);
-
-void BM_MsgpackEncode(benchmark::State& state) {
-  const auto img = MakeImage(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rsf::ser::mp::Encode(img));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_MsgpackEncode)->Arg(1024 * 1024)->Arg(6 * 1024 * 1024);
 
 void BM_Xcdr2Serialize(benchmark::State& state) {
   const auto img = MakeImage(static_cast<size_t>(state.range(0)));

@@ -36,19 +36,6 @@ size_t ReactorPoolSize() {
   return pool;
 }
 
-// The thread-per-connection transport was deleted in PR 4; the env knob
-// that selected it is honored only as a no-op with a warning so existing
-// launch scripts keep working.
-void WarnIfLegacyTransportRequested() {
-  if (const char* env = std::getenv("RSF_TRANSPORT")) {
-    if (std::strcmp(env, "threads") == 0) {
-      RSF_WARN(
-          "RSF_TRANSPORT=threads is deprecated: the thread-per-connection "
-          "transport was removed; using the reactor transport");
-    }
-  }
-}
-
 }  // namespace
 
 EventLoop::EventLoop() : EventLoop(ResolveIoBackendKind()) {}
@@ -273,8 +260,7 @@ void EventLoop::Run() {
       uint32_t ready_bits = event.events & (kEventReadable | kEventWritable);
       if (event.events & kEventError) {
         // Deliver the error through whatever direction is armed so the next
-        // read/write syscall surfaces the errno, and flag it explicitly for
-        // handlers that must drain the error queue (zerocopy completions).
+        // read/write syscall surfaces the errno.
         ready_bits |= handler->interest & (kEventReadable | kEventWritable);
         ready_bits |= kEventError;
         if ((ready_bits & ~kEventError) == 0) ready_bits |= kEventReadable;
@@ -299,7 +285,6 @@ void EventLoop::Run() {
 }
 
 Reactor::Reactor() {
-  WarnIfLegacyTransportRequested();
   const size_t pool = ReactorPoolSize();
   loops_.reserve(pool);
   for (size_t i = 0; i < pool; ++i) {

@@ -107,7 +107,7 @@ class EventLoop {
   void Remove(int fd);
 
   /// The backend carrying this loop's I/O.  Links use it directly for the
-  /// submission tier (SubmitRecv/SubmitSendMsg/SubmitSendZc); completion
+  /// submission tier (SubmitRecv/SubmitSendMsg); completion
   /// callbacks run on the loop thread, inside the Wait that reaped them.
   [[nodiscard]] IoBackend* io_backend() noexcept { return backend_.get(); }
   [[nodiscard]] const char* backend_name() const noexcept {

@@ -41,7 +41,7 @@ struct Ref {
 
 class Builder {
  public:
-  Builder() { buffer_.resize(4, 0); }  // room for the root-position word
+  Builder() : buffer_(4, 0) {}  // room for the root-position word
 
   /// Appends a string payload; returns its position.
   Ref CreateString(std::string_view text);

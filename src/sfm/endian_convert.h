@@ -19,6 +19,7 @@
 #include "common/clock.h"
 #include "common/endian.h"
 #include "serialization/field_model.h"
+#include "sfm/relative.h"
 #include "sfm/string.h"
 #include "sfm/vector.h"
 
@@ -87,8 +88,11 @@ void ConvertField(T& field, SwapDirection dir) {
     using E = typename T::value_type;
     const auto [count, offset] = SwapSkeletonWords(&field, dir);
     if (count == 0 || offset == 0) return;
-    auto* base = reinterpret_cast<uint8_t*>(&field) + 4 + offset;
-    auto* elements = reinterpret_cast<E*>(base);
+    // The offset word (the skeleton's second) is the base the offset is
+    // relative to; its in-object value may be foreign-order, so use the
+    // host-order copy.
+    auto* elements = detail::ResolveRelative<E>(
+        reinterpret_cast<const uint32_t*>(&field) + 1, offset);
     for (uint32_t i = 0; i < count; ++i) {
       if constexpr (rsf::ser::is_scalar_v<E>) {
         SwapScalarInPlace(elements[i]);

@@ -4,7 +4,8 @@
 //   uint32 length_   bytes occupied by the content INCLUDING the terminating
 //                    zero and padding up to a 4-byte boundary ("rgb8" -> 8)
 //   uint32 offset_   distance from the address of offset_ itself to the
-//                    first content byte (relative => position-independent)
+//                    first content byte (relative => position-independent;
+//                    resolved through sfm/relative.h)
 //
 // The interface mirrors std::string closely enough that existing ROS code
 // compiles unchanged (the paper's transparency requirement).  Content space
@@ -21,6 +22,7 @@
 
 #include "sfm/alert.h"
 #include "sfm/message_manager.h"
+#include "sfm/relative.h"
 
 namespace sfm {
 
@@ -122,10 +124,10 @@ class string {
 
  private:
   [[nodiscard]] const char* ContentPtr() const noexcept {
-    return reinterpret_cast<const char*>(&offset_) + offset_;
+    return detail::ResolveRelative<const char>(&offset_, offset_);
   }
   [[nodiscard]] char* ContentPtr() noexcept {
-    return reinterpret_cast<char*>(&offset_) + offset_;
+    return detail::ResolveRelative<char>(&offset_, offset_);
   }
 
   void Assign(const char* text, size_type count) {
@@ -147,7 +149,7 @@ class string {
     char* dst = static_cast<char*>(gmm().Expand(&offset_, needed, 4));
     std::memcpy(dst, text, count);
     // Expand() zeroed the block, so NUL and padding are already in place.
-    offset_ = static_cast<uint32_t>(dst - reinterpret_cast<char*>(&offset_));
+    offset_ = detail::RelativeOffset(&offset_, dst);
     length_ = needed;
   }
 

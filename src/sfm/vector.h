@@ -3,6 +3,7 @@
 // Layout (matching Fig. 7):
 //   uint32 count_    number of elements
 //   uint32 offset_   distance from the address of offset_ to element 0
+//                    (resolved through sfm/relative.h)
 //
 // Elements are stored contiguously in the owning message's arena, so they
 // are accessed exactly like a C++ array (the paper's third format feature).
@@ -24,6 +25,7 @@
 
 #include "sfm/alert.h"
 #include "sfm/message_manager.h"
+#include "sfm/relative.h"
 
 namespace sfm {
 
@@ -72,10 +74,8 @@ class vector {
       return;
     }
     if (n == 0) return;  // stays unassigned; a later resize is the first one
-    T* dst = static_cast<T*>(
-        gmm().Expand(&offset_, n * sizeof(T), alignof(T)));
-    offset_ = static_cast<uint32_t>(reinterpret_cast<uint8_t*>(dst) -
-                                    reinterpret_cast<uint8_t*>(&offset_));
+    void* dst = gmm().Expand(&offset_, n * sizeof(T), alignof(T));
+    offset_ = detail::RelativeOffset(&offset_, dst);
     count_ = static_cast<uint32_t>(n);
   }
 
@@ -126,11 +126,10 @@ class vector {
 
  private:
   [[nodiscard]] T* Elems() noexcept {
-    return reinterpret_cast<T*>(reinterpret_cast<uint8_t*>(&offset_) + offset_);
+    return detail::ResolveRelative<T>(&offset_, offset_);
   }
   [[nodiscard]] const T* Elems() const noexcept {
-    return reinterpret_cast<const T*>(
-        reinterpret_cast<const uint8_t*>(&offset_) + offset_);
+    return detail::ResolveRelative<const T>(&offset_, offset_);
   }
 
   template <typename U>
@@ -143,8 +142,7 @@ class vector {
     T* dst = static_cast<T*>(gmm().Expand(&offset_, n * sizeof(T), alignof(T)));
     const T* old = Elems();
     CopyInto(dst, old, count_);
-    offset_ = static_cast<uint32_t>(reinterpret_cast<uint8_t*>(dst) -
-                                    reinterpret_cast<uint8_t*>(&offset_));
+    offset_ = detail::RelativeOffset(&offset_, dst);
     count_ = static_cast<uint32_t>(n);
   }
 

@@ -330,8 +330,12 @@ TEST(FrameReader, PeerCloseMidPayloadReportsUnavailable) {
 
 TEST(FrameWriter, ShortWritesResumeUntilComplete) {
   auto [client, server] = MakePair();
+  // Fixed transport-sized buffers: left to autotuning, loopback can grow
+  // them past 4 MB under load and swallow the whole frame in one Flush.
+  ASSERT_TRUE(ApplyTransportSocketOptions(client).ok());
+  ASSERT_TRUE(ApplyTransportSocketOptions(server).ok());
   ASSERT_TRUE(client.SetNonBlocking(true).ok());
-  // 4 MB >> any socket buffer: the first Flush MUST stop short and leave
+  // 4 MB >> the socket buffers: the first Flush MUST stop short and leave
   // the frame pending; repeated flushes while the reader drains finish it.
   constexpr uint32_t kSize = 4 * 1024 * 1024;
   auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[kSize]);
@@ -366,24 +370,58 @@ TEST(FrameWriter, ShortWritesResumeUntilComplete) {
 }
 
 TEST(FrameWriter, GathersBurstIntoFewSyscalls) {
-  auto [client, server] = MakePair();
-  ASSERT_TRUE(client.SetNonBlocking(true).ok());
-  FrameWriter writer;
-  for (int i = 0; i < 8; ++i) {
-    auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[16]);
-    std::memset(payload.get(), i, 16);
-    writer.Enqueue(std::move(payload), 16);
+  // Two bursts of 8 frames (the initial gather budget): all small, and a
+  // 64 KiB frame between small ones.  A large frame is gathered like any
+  // other — it never closes the batch — so each burst leaves in a single
+  // sendmsg (readiness mode) or a single staged submission (completion
+  // mode) covering every header and payload.
+  const std::vector<uint32_t> bursts[] = {
+      {16, 16, 16, 16, 16, 16, 16, 16},
+      {16, 16, 16, 64 * 1024, 16, 16, 16, 16},
+  };
+  for (const auto& sizes : bursts) {
+    size_t total = 0;
+    const auto enqueue_all = [&](FrameWriter& writer) {
+      total = 0;
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[sizes[i]]);
+        std::memset(payload.get(), static_cast<int>(i), sizes[i]);
+        writer.Enqueue(std::move(payload), sizes[i]);
+        total += sizeof(uint32_t) + sizes[i];
+      }
+    };
+
+    // Socket buffers sized like a transport link's, so the burst always
+    // fits and the syscall count is the gather count.
+    auto [client, server] = MakePair();
+    ASSERT_TRUE(ApplyTransportSocketOptions(client).ok());
+    ASSERT_TRUE(ApplyTransportSocketOptions(server).ok());
+    ASSERT_TRUE(client.SetNonBlocking(true).ok());
+    FrameWriter writer;
+    enqueue_all(writer);
+    const uint64_t before = WriteSyscallCount();
+    ASSERT_TRUE(writer.Flush(client).ok());
+    EXPECT_FALSE(writer.HasPending());
+    EXPECT_EQ(WriteSyscallCount() - before, 1u) << total << " bytes";
+    EXPECT_EQ(writer.FramesWritten(), sizes.size());
+
+    FrameWriter staged_writer;
+    enqueue_all(staged_writer);
+    const std::span<const iovec> iov = staged_writer.StageSubmission();
+    EXPECT_EQ(iov.size(), 2 * sizes.size());  // header + payload per frame
+    size_t staged_bytes = 0;
+    for (const iovec& v : iov) staged_bytes += v.iov_len;
+    EXPECT_EQ(staged_bytes, total);
+    staged_writer.CommitStaged(staged_bytes);
+    EXPECT_FALSE(staged_writer.HasPending());
+    EXPECT_EQ(staged_writer.FramesWritten(), sizes.size());
   }
-  const uint64_t before = WriteSyscallCount();
-  ASSERT_TRUE(writer.Flush(client).ok());
-  EXPECT_FALSE(writer.HasPending());  // 160 bytes always fit
-  // 8 frames (16 iovecs) within the gather window: one sendmsg.
-  EXPECT_EQ(WriteSyscallCount() - before, 1u);
-  EXPECT_EQ(writer.FramesWritten(), 8u);
 }
 
 TEST(FrameWriter, DropOldestEvictsQueuedNotInFlight) {
   auto [client, server] = MakePair();
+  ASSERT_TRUE(ApplyTransportSocketOptions(client).ok());  // no autotuning
+  ASSERT_TRUE(ApplyTransportSocketOptions(server).ok());
   ASSERT_TRUE(client.SetNonBlocking(true).ok());
   // Wedge a large frame partially onto the wire.
   constexpr uint32_t kBig = 8 * 1024 * 1024;
@@ -453,7 +491,7 @@ TEST(FrameWriter, AdaptiveGatherBudgetGrowsWithDepthAndDecaysWhenShallow) {
   ASSERT_TRUE(server.SetNonBlocking(true).ok());
 
   // Each deep flush doubles the budget (one adaptation per Flush call):
-  // 8 → 16 → 32 → 64 (the RSF_SEND_BATCH_MAX default), and the syscall
+  // 8 → 16 → 32 → 64 (kGatherFramesMax), and the syscall
   // count per 100-frame burst drops as the gather window widens.
   size_t expected_budget = kGatherFramesMin;
   uint64_t syscalls_first_burst = 0;
@@ -468,7 +506,7 @@ TEST(FrameWriter, AdaptiveGatherBudgetGrowsWithDepthAndDecaysWhenShallow) {
     const uint64_t used = WriteSyscallCount() - before;
     if (round == 0) syscalls_first_burst = used;
     syscalls_last_burst = used;
-    expected_budget = std::min<size_t>(expected_budget * 2, 64);
+    expected_budget = std::min(expected_budget * 2, kGatherFramesMax);
     EXPECT_EQ(writer.GatherBudget(), expected_budget) << "round " << round;
   }
   EXPECT_LT(syscalls_last_burst, syscalls_first_burst);
