@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
   {
     const rsf::Stopwatch spin;
     volatile uint64_t sink = 0;
-    while (spin.ElapsedNanos() < 300'000'000) sink += 1;
+    while (spin.ElapsedNanos() < 300'000'000) sink = sink + 1;
   }
 
   // Seeds a standing population of live arenas (in-flight transport

@@ -125,14 +125,10 @@ Result<FrameReader::Step> FrameReader::Poll(TcpConnection& conn,
 bool FrameWriter::Enqueue(std::shared_ptr<const uint8_t[]> payload,
                           uint32_t size, size_t max_pending) {
   bool evicted = false;
-  if (max_pending > 0 && staged_.size() + pending_.size() >= max_pending) {
-    // Drop-oldest, but never a frame already (partially) on the wire:
-    // staged frames are submitted and untouchable, and in readiness mode
-    // (staged_ always empty) the front frame may be mid-write.
-    const size_t victim =
-        (staged_.empty() && !pending_.empty() && pending_.front().offset > 0)
-            ? 1
-            : 0;
+  if (max_pending > 0 && pending_.size() >= max_pending) {
+    // Drop-oldest, but never a frame already (partially) on the wire: the
+    // front frame may be mid-write.
+    const size_t victim = pending_.front().offset > 0 ? 1 : 0;
     if (victim < pending_.size()) {
       pending_.erase(pending_.begin() + static_cast<long>(victim));
       evicted = true;
@@ -160,12 +156,11 @@ void FrameWriter::AdaptGatherBudget() noexcept {
   }
 }
 
-void FrameWriter::GatherInto(const std::deque<PendingFrame>& frames,
-                             size_t limit) {
+void FrameWriter::Gather() {
   iov_.clear();
-  const size_t count = std::min(frames.size(), limit);
+  const size_t count = std::min(pending_.size(), gather_budget_);
   for (size_t i = 0; i < count; ++i) {
-    const PendingFrame& frame = frames[i];
+    const PendingFrame& frame = pending_[i];
     size_t skip = frame.offset;  // only ever non-zero for i == 0
     if (skip < sizeof(frame.header)) {
       iov_.push_back({const_cast<uint8_t*>(frame.header) + skip,
@@ -181,17 +176,16 @@ void FrameWriter::GatherInto(const std::deque<PendingFrame>& frames,
   }
 }
 
-void FrameWriter::Consume(std::deque<PendingFrame>& frames,
-                          size_t bytes) noexcept {
+void FrameWriter::Consume(size_t bytes) noexcept {
   bytes_written_ += bytes;
-  while (!frames.empty()) {
-    PendingFrame& front = frames.front();
+  while (!pending_.empty()) {
+    PendingFrame& front = pending_.front();
     const size_t wire = sizeof(front.header) + front.size;
     const size_t take = std::min(bytes, wire - front.offset);
     front.offset += take;
     bytes -= take;
     if (front.offset < wire) break;
-    frames.pop_front();
+    pending_.pop_front();
     ++frames_written_;
   }
 }
@@ -201,75 +195,14 @@ Status FrameWriter::Flush(TcpConnection& conn) {
   // each) into one sendmsg; resume mid-frame via the front frame's offset.
   AdaptGatherBudget();
   while (!pending_.empty()) {
-    GatherInto(pending_, gather_budget_);
+    Gather();
     auto written =
         conn.WriteSome(std::span<const iovec>(iov_.data(), iov_.size()));
     if (!written.ok()) return written.status();
     if (*written == 0) return Status::Ok();  // socket full: resume later
-    Consume(pending_, *written);
+    Consume(*written);
   }
   return Status::Ok();
-}
-
-std::span<uint8_t> FrameReader::NextWindow() noexcept {
-  if (state_ == State::kHeader) {
-    return {header_ + header_got_, sizeof(header_) - header_got_};
-  }
-  return {payload_ + payload_got_, payload_len_ - payload_got_};
-}
-
-Result<FrameReader::Step> FrameReader::Commit(size_t n,
-                                              const FrameAllocator& alloc,
-                                              uint32_t* length) {
-  if (state_ == State::kHeader) {
-    header_got_ += n;
-    if (header_got_ < sizeof(header_)) return Step::kNeedMore;
-    const uint32_t raw = LoadLE<uint32_t>(header_);
-    if (FrameTag(raw) > kFrameTagMax) {
-      return OutOfRangeError("unknown frame tag (corrupted length?): " +
-                             std::to_string(raw));
-    }
-    raw_len_ = raw;
-    payload_len_ = FrameLength(raw);
-    payload_got_ = 0;
-    payload_ = alloc(raw);
-    if (payload_ == nullptr && payload_len_ > 0) {
-      return ResourceExhaustedError("frame allocator returned null");
-    }
-    if (payload_len_ == 0) {
-      *length = raw;
-      Reset();
-      return Step::kFrame;
-    }
-    state_ = State::kPayload;
-    return Step::kNeedMore;
-  }
-  payload_got_ += n;
-  if (payload_got_ < payload_len_) return Step::kNeedMore;
-  const uint32_t raw = raw_len_;
-  Reset();
-  *length = raw;
-  return Step::kFrame;
-}
-
-std::span<const iovec> FrameWriter::StageSubmission() {
-  if (staged_.empty()) {
-    AdaptGatherBudget();
-    // Move frames out of the queue for the flight: deque erasure
-    // (eviction) invalidates references, and the kernel will be reading
-    // these header bytes asynchronously.
-    while (!pending_.empty() && staged_.size() < gather_budget_) {
-      staged_.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
-  }
-  if (staged_.empty()) return {};
-  GatherInto(staged_, staged_.size());
-  return std::span<const iovec>(iov_.data(), iov_.size());
-}
-
-void FrameWriter::CommitStaged(size_t bytes) noexcept {
-  Consume(staged_, bytes);
 }
 
 }  // namespace rsf::net

@@ -98,17 +98,6 @@ class FrameReader {
   Result<Step> Poll(TcpConnection& conn, const FrameAllocator& alloc,
                     uint32_t* length);
 
-  /// Completion-mode interface (submission backends, net/io_backend.h):
-  /// instead of the reader issuing recv syscalls, the caller stages a recv
-  /// SQE aimed at NextWindow() — the exact remaining header or payload
-  /// span, so payload bytes still land straight in the allocator's arena
-  /// (the one-copy receive) — and feeds the completed byte count to
-  /// Commit().  The allocator runs inside Commit when the header
-  /// completes, exactly as Poll invokes it.  `n` must not exceed the
-  /// window (the kernel bounds recv by the SQE length).
-  [[nodiscard]] std::span<uint8_t> NextWindow() noexcept;
-  Result<Step> Commit(size_t n, const FrameAllocator& alloc, uint32_t* length);
-
   /// Abandons any partial frame (link teardown reuse).
   void Reset() noexcept;
 
@@ -164,27 +153,9 @@ class FrameWriter {
   /// the caller how many queued frames will never reach the wire.
   Status Flush(TcpConnection& conn);
 
-  // ---- completion-mode interface (submission backends) ----
-  // The writer stages a batch of frames out of the queue, the link
-  // submits it as one SENDMSG SQE, and the completed byte count comes back
-  // through CommitStaged.  Staged frames live in their own deque so their
-  // header bytes and iovec array stay at stable addresses while the
-  // kernel reads them — Enqueue/eviction never touches them.
-
-  /// Stages the next submission: pulls up to the adaptive gather budget of
-  /// frames from the queue, or resumes the batch already staged.  The
-  /// returned iovecs (headers + payloads) stay valid until CommitStaged.
-  /// Empty when nothing is queued.
-  std::span<const iovec> StageSubmission();
-
-  /// Accounts `bytes` of completed staged send; completed frames pop.
-  void CommitStaged(size_t bytes) noexcept;
-
-  [[nodiscard]] bool HasPending() const noexcept {
-    return !pending_.empty() || !staged_.empty();
-  }
+  [[nodiscard]] bool HasPending() const noexcept { return !pending_.empty(); }
   [[nodiscard]] size_t PendingFrames() const noexcept {
-    return pending_.size() + staged_.size();
+    return pending_.size();
   }
   [[nodiscard]] uint64_t FramesWritten() const noexcept {
     return frames_written_;
@@ -208,14 +179,13 @@ class FrameWriter {
 
   void AdaptGatherBudget() noexcept;
   /// Fills iov_ with the unwritten header and payload bytes of the first
-  /// min(frames.size(), limit) frames, resuming the front frame mid-way.
-  void GatherInto(const std::deque<PendingFrame>& frames, size_t limit);
-  /// Advances the front of `frames` by `bytes` accepted by the kernel,
+  /// gather-budget frames, resuming the front frame mid-way.
+  void Gather();
+  /// Advances the front of the queue by `bytes` accepted by the kernel,
   /// popping (and counting) every frame that completes.
-  void Consume(std::deque<PendingFrame>& frames, size_t bytes) noexcept;
+  void Consume(size_t bytes) noexcept;
 
   std::deque<PendingFrame> pending_;
-  std::deque<PendingFrame> staged_;  // completion-mode: frames in flight
   std::vector<iovec> iov_;  // reused gather scratch (grows with the budget)
   uint64_t frames_written_ = 0;
   uint64_t bytes_written_ = 0;

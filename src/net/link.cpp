@@ -1,9 +1,7 @@
 #include "net/link.h"
 
-#include <limits.h>
 #include <sys/socket.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -26,8 +24,7 @@ uint64_t WriteTimeoutNanos() noexcept {
 Link::Link(EventLoop* loop, Options options, Callbacks callbacks)
     : loop_(loop),
       options_(options),
-      callbacks_(std::move(callbacks)),
-      submit_mode_(loop->io_backend()->SupportsSubmission()) {
+      callbacks_(std::move(callbacks)) {
   // Counted at construction, not registration, so a dial burst spreads
   // across the pool before any of the links finish binding.
   loop_->NoteLinkBound();
@@ -169,19 +166,6 @@ void Link::Register() {
 }
 
 uint32_t Link::CurrentInterest() {
-  if (submit_mode_) {
-    // Sends always travel as submissions and established-state receives as
-    // recv SQEs; readiness is only needed to resolve the connect and to
-    // drive the (deliberately readiness-shaped) handshake exchange.
-    switch (state()) {
-      case State::kConnecting:
-        return kEventWritable;
-      case State::kHandshaking:
-        return kEventReadable;
-      default:
-        return 0;
-    }
-  }
   bool write_pending;
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
@@ -222,15 +206,7 @@ void Link::OnEvent(uint32_t events) {
   }
   if (state() == State::kClosed) return;
   if (events & kEventReadable) {
-    if (submit_mode_) {
-      // Only the handshake reads by readiness here; in kEstablished the
-      // recv SQE owns the socket and a stale single-shot poll completion
-      // (armed during the handshake, reaped after the transition) must not
-      // race it with a second reader.
-      if (state() == State::kHandshaking) HandshakeReadable();
-      // Bytes buffered behind the handshake reply are picked up by the
-      // first recv SQE — EnterEstablished arms it before returning.
-    } else if (state() == State::kEstablished && paused_) {
+    if (state() == State::kEstablished && paused_) {
       // Read interest is off, so this is an EPOLLERR/HUP fold-in: peek for
       // EOF without consuming frame bytes the resume will want.
       PeekForEof();
@@ -322,11 +298,6 @@ void Link::EnterEstablished() {
   if (callbacks_.on_established) callbacks_.on_established(shared_from_this());
   if (state() == State::kClosed) return;  // on_established may close
   FlushWriter();
-  // Completion-mode receive starts here: the first recv SQE also collects
-  // any bytes the peer sent right behind its handshake reply.
-  if (submit_mode_ && state() == State::kEstablished && !paused_) {
-    ArmReceive();
-  }
 }
 
 void Link::ReadEstablished() {
@@ -397,10 +368,6 @@ void Link::FlushOnLoop() {
 }
 
 void Link::FlushWriter() {
-  if (submit_mode_) {
-    PumpSend();
-    return;
-  }
   Status status;
   bool pending;
   {
@@ -420,128 +387,6 @@ void Link::FlushWriter() {
   if (pending) MaybeArmWriteDeadline();
 }
 
-void Link::ArmReceive() {
-  if (recv_armed_ || state() != State::kEstablished || paused_) return;
-  void* buf;
-  size_t len;
-  int flags;
-  if (callbacks_.on_frame) {
-    // Aim the SQE at the reader's exact remaining window (header bytes,
-    // then the allocator's arena pointer) — the one-copy receive survives
-    // the backend swap.  MSG_WAITALL lets the kernel accumulate the whole
-    // window before completing, so a frame costs two CQEs (header,
-    // payload) instead of one per skb.
-    const std::span<uint8_t> window = reader_.NextWindow();
-    buf = window.data();
-    len = window.size();
-    flags = MSG_WAITALL;
-  } else {
-    // Drain-and-discard mode (publisher side): any completion is either
-    // junk to drop or EOF.
-    if (discard_buf_.empty()) discard_buf_.resize(4096);
-    buf = discard_buf_.data();
-    len = discard_buf_.size();
-    flags = 0;
-  }
-  recv_armed_ = loop_->io_backend()->SubmitRecv(
-      conn_.fd(), buf, len, flags,
-      [self = shared_from_this()](int32_t res) { self->OnRecvCqe(res); });
-  if (!recv_armed_) CloseOnLoop(true);
-}
-
-void Link::OnRecvCqe(int32_t res) {
-  recv_armed_ = false;
-  if (state() == State::kClosed) return;
-  if (res == 0) {  // orderly EOF
-    CloseOnLoop(true);
-    return;
-  }
-  if (res < 0) {
-    if (res == -EINTR || res == -EAGAIN || res == -ENOBUFS) {
-      ArmReceive();  // transient — re-stage the same window
-      return;
-    }
-    if (res == -ECANCELED) return;  // Del cancelled us mid-teardown
-    RSF_DEBUG("link: recv completion failed: %s", std::strerror(-res));
-    CloseOnLoop(true);
-    return;
-  }
-  if (!callbacks_.on_frame) {
-    ArmReceive();  // discarded
-    return;
-  }
-  // MSG_WAITALL can still complete short (signal, peer close mid-frame);
-  // Commit accumulates and reports kNeedMore, and the re-arm below stages
-  // the shrunken window.
-  uint32_t length = 0;
-  auto step = reader_.Commit(static_cast<size_t>(res), callbacks_.alloc,
-                             &length);
-  if (!step.ok()) {
-    CloseOnLoop(true);
-    return;
-  }
-  if (*step == FrameReader::Step::kFrame) {
-    received_.fetch_add(1, std::memory_order_relaxed);
-    callbacks_.on_frame(length);  // may pause or close the link
-  }
-  if (state() == State::kEstablished && !paused_) ArmReceive();
-}
-
-void Link::PumpSend() {
-  if (send_inflight_) return;
-  const State s = state();
-  if (s == State::kClosed || s == State::kConnecting) return;
-  std::span<const iovec> iov;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    iov = writer_.StageSubmission();
-  }
-  if (iov.empty()) {
-    if (s == State::kDraining) CloseOnLoop(true);
-    return;
-  }
-  send_hdr_ = msghdr{};
-  send_hdr_.msg_iov = const_cast<iovec*>(iov.data());
-  send_hdr_.msg_iovlen =
-      std::min<size_t>(iov.size(), static_cast<size_t>(IOV_MAX));
-  const bool ok = loop_->io_backend()->SubmitSendMsg(
-      conn_.fd(), &send_hdr_,
-      [self = shared_from_this()](int32_t res) { self->OnSendCqe(res); });
-  if (!ok) {
-    CloseOnLoop(true);
-    return;
-  }
-  send_inflight_ = true;
-  MaybeArmWriteDeadline();
-}
-
-void Link::OnSendCqe(int32_t res) {
-  send_inflight_ = false;
-  if (state() == State::kClosed) return;
-  if (res < 0) {
-    if (res == -EINTR || res == -EAGAIN) {
-      PumpSend();  // restage the same batch
-      return;
-    }
-    if (res == -ECANCELED) return;
-    RSF_DEBUG("link: send completion failed: %s", std::strerror(-res));
-    CloseOnLoop(true);
-    return;
-  }
-  bool pending;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.CommitStaged(static_cast<size_t>(res));
-    pending = writer_.HasPending();
-    sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
-  }
-  if (pending) {
-    PumpSend();  // a short send resumes mid-frame; more frames keep going
-    return;
-  }
-  if (state() == State::kDraining) CloseOnLoop(true);
-}
-
 void Link::PauseReading() {
   if (state() != State::kEstablished || paused_) return;
   paused_ = true;
@@ -551,12 +396,6 @@ void Link::PauseReading() {
 void Link::ResumeReading() {
   if (state() != State::kEstablished || !paused_) return;
   paused_ = false;
-  if (submit_mode_) {
-    // Bytes that arrived while paused sit in the kernel buffer; the fresh
-    // recv SQE completes against them immediately.
-    ArmReceive();
-    return;
-  }
   UpdateInterest();
   // Bytes that arrived while paused are already in the kernel buffer;
   // level-triggered epoll re-reports them, so no manual read is needed.
@@ -576,10 +415,7 @@ void Link::CloseOnLoop(bool notify) {
     std::lock_guard<std::mutex> lock(write_mutex_);
     stranded_.store(writer_.PendingFrames(), std::memory_order_relaxed);
   }
-  // Remove BEFORE close: on a submission backend this synchronously
-  // cancels every SQE targeting the fd (and drops the completion
-  // closures) — closing first would leave in-flight SQEs holding the file
-  // open.
+  // Remove BEFORE close, while the fd number still names this socket.
   if (registered_) {
     loop_->Remove(conn_.fd());
     registered_ = false;

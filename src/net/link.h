@@ -28,8 +28,6 @@
 // connect path entirely.
 #pragma once
 
-#include <sys/socket.h>
-
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -211,15 +209,6 @@ class Link : public std::enable_shared_from_this<Link> {
   void FlushWriter();
   void CloseOnLoop(bool notify);
 
-  // Completion-mode drivers (submission backends, net/io_backend.h):
-  // instead of readiness events, one recv SQE and one send submission are
-  // outstanding per link; their CQE callbacks land here on the loop
-  // thread.  Connect and handshake stay readiness-driven on both backends.
-  void ArmReceive();
-  void OnRecvCqe(int32_t res);
-  void PumpSend();
-  void OnSendCqe(int32_t res);
-
   /// Decrements the loop's live-link count exactly once (close or
   /// destruction, whichever comes first).
   void ReleaseLoopSlot() noexcept;
@@ -231,19 +220,10 @@ class Link : public std::enable_shared_from_this<Link> {
   TcpConnection conn_;
   std::atomic<State> state_{State::kClosed};
 
-  // True when the loop's backend carries I/O by submission (io_uring):
-  // established-state receives and all sends travel as SQEs with
-  // completion callbacks instead of readiness events + syscalls.
-  const bool submit_mode_;
-
   // Loop-confined.
   bool registered_ = false;
   bool paused_ = false;
   bool write_deadline_armed_ = false;
-  bool recv_armed_ = false;     // one outstanding recv SQE at a time
-  bool send_inflight_ = false;  // one outstanding send submission at a time
-  msghdr send_hdr_{};  // stable storage while a SENDMSG SQE is in flight
-  std::vector<uint8_t> discard_buf_;  // submit-mode drain-and-discard window
   FrameReader reader_;
   std::vector<uint8_t> handshake_buf_;
 

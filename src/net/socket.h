@@ -150,9 +150,9 @@ Status ApplyTransportSocketOptions(TcpConnection& conn);
 uint64_t WriteSyscallCount() noexcept;
 
 /// Process-wide count of read-side socket syscalls (`recv`) issued by
-/// TcpConnection.  Together with WriteSyscallCount and the backend
-/// counters (net/io_backend.h) this is the syscalls-per-delivery shim the
-/// batching tests and the connection bench difference.
+/// TcpConnection.  Together with WriteSyscallCount and the epoll counters
+/// (net/io_backend.h) this is the syscalls-per-delivery shim the
+/// connection bench differences.
 uint64_t RecvSyscallCount() noexcept;
 
 /// Process-wide count of blocking TcpConnection::Connect calls.  A test

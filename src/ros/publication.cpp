@@ -52,11 +52,12 @@ void Publication::Start() {
   loop_ = rsf::net::Reactor::Get().NextLoop();
   (void)listener_.SetNonBlocking(true);
   std::weak_ptr<Publication> weak = shared_from_this();
-  const int fd = listener_.fd();
-  loop_->RunInLoop([weak, fd, loop = loop_] {
-    auto self = weak.lock();
-    if (self == nullptr) return;
-    loop->Add(fd, rsf::net::kEventReadable, [weak](uint32_t) {
+  // Raw `this` is safe: Shutdown's RunSync queues behind this task, so the
+  // publication outlives it.  Locking `weak` here instead could make the
+  // loop thread drop the last reference, running the destructor (and the
+  // intra-registry unregister) after the owner already let go.
+  loop_->RunInLoop([this, weak] {
+    loop_->Add(listener_.fd(), rsf::net::kEventReadable, [weak](uint32_t) {
       if (auto alive = weak.lock()) alive->OnAcceptReady();
     });
   });

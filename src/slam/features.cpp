@@ -91,7 +91,7 @@ std::vector<Descriptor> ComputeBrief(const uint8_t* gray, uint32_t width,
   std::vector<Descriptor> descriptors(keypoints.size());
   for (size_t k = 0; k < keypoints.size(); ++k) {
     const Keypoint& kp = keypoints[k];
-    if (kp.x < 16 || kp.y < 16 || kp.x + 16 >= width || kp.y + 16 >= height) {
+    if (kp.x < 16 || kp.y < 16 || kp.x + 16u >= width || kp.y + 16u >= height) {
       continue;  // border: zero descriptor
     }
     // Deterministic pseudo-random point pairs (the BRIEF test pattern),

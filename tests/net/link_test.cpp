@@ -1,12 +1,9 @@
 // Tests driving the unified transport Link (net/link.h) directly, plus the
 // EventLoop timer facility it paces shaped deliveries with: nonblocking
 // connect success / refusal / timeout, handshakes split across partial
-// reads, close-during-handshake, server-role accept and reject (the
+// reads, peer close mid-handshake, server-role accept and reject (the
 // Draining flush), and timer-paced pause/resume delivery.  The CI
-// ThreadSanitizer job runs this whole binary.  Every suite is
-// parameterized over both I/O backends (backend_param.h): under uring the
-// same tests exercise the completion-mode recv/send drivers instead of
-// readiness + per-link syscalls.
+// ThreadSanitizer job runs this whole binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +13,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "backend_param.h"
 #include "net/framing.h"
 #include "net/link.h"
 #include "net/poller.h"
@@ -25,14 +21,13 @@
 namespace rsf::net {
 namespace {
 
-class LinkTest : public BackendSkipTest {};
-RSF_INSTANTIATE_BACKEND_SUITE(LinkTest);
+/// A default (not yet started) EventLoop, stopped after each test.
+class LoopTimerTest : public ::testing::Test {
+ protected:
+  void TearDown() override { loop_.Stop(); }
 
-class LinkWriteTimeoutTest : public BackendSkipTest {};
-RSF_INSTANTIATE_BACKEND_SUITE(LinkWriteTimeoutTest);
-
-class LoopTimerTest : public BackendParamTest {};
-RSF_INSTANTIATE_BACKEND_SUITE(LoopTimerTest);
+  EventLoop loop_;
+};
 
 // Spins until `predicate` holds or ~5 s pass (link transitions happen on
 // the loop thread; tests observe them from the main thread).
@@ -61,7 +56,7 @@ struct LinkHarness {
   std::vector<uint8_t> last_payload;  // guarded by mutex
   std::vector<uint8_t> receive_buf;   // loop-confined
 
-  explicit LinkHarness(IoBackendKind kind) : loop(kind) { loop.Start(); }
+  LinkHarness() { loop.Start(); }
   ~LinkHarness() { loop.Stop(); }
 
   /// Client-role callbacks: sends `request`, accepts any non-empty reply,
@@ -117,11 +112,11 @@ void RunServerPeer(
   if (body) body(*conn);
 }
 
-TEST_P(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
+TEST(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::vector<uint8_t> seen_request;
   std::thread server([&] {
     RunServerPeer(*listener, &seen_request, Bytes("welcome"),
@@ -150,7 +145,7 @@ TEST_P(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST_P(LinkTest, DialRefusedReportsClosedNeverEstablished) {
+TEST(LinkTest, DialRefusedReportsClosedNeverEstablished) {
   // Grab an ephemeral port, then close the listener so the dial is refused.
   uint16_t dead_port = 0;
   {
@@ -160,7 +155,7 @@ TEST_P(LinkTest, DialRefusedReportsClosedNeverEstablished) {
     listener->Close();
   }
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   auto link = Link::Dial("127.0.0.1", dead_port, &harness.loop,
                          Link::Options{},
                          harness.ClientCallbacks(Bytes("hello")));
@@ -169,12 +164,12 @@ TEST_P(LinkTest, DialRefusedReportsClosedNeverEstablished) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST_P(LinkTest, DialToBlackholePeerTimesOut) {
+TEST(LinkTest, DialToBlackholePeerTimesOut) {
   // RFC 5737 TEST-NET-1 is guaranteed unrouted: the connect either hangs
   // until the link's own timer fires (the case under test) or fails fast
   // with EHOSTUNREACH/ENETUNREACH in constrained sandboxes — both must
   // surface as on_closed with no establish.
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   Link::Options options;
   options.connect_timeout_nanos = 200'000'000;  // 200 ms
   auto link = Link::Dial("192.0.2.1", 9, &harness.loop, options,
@@ -184,11 +179,11 @@ TEST_P(LinkTest, DialToBlackholePeerTimesOut) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST_P(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
+TEST(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread server([&] {
     auto conn = listener->Accept();
     ASSERT_TRUE(conn.ok());
@@ -225,11 +220,11 @@ TEST_P(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
   EXPECT_EQ(link->stats().frames_received, 1u);
 }
 
-TEST_P(LinkTest, PeerCloseDuringHandshakeClosesLink) {
+TEST(LinkTest, PeerCloseDuringHandshakeClosesLink) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread server([&] {
     auto conn = listener->Accept();
     ASSERT_TRUE(conn.ok());
@@ -256,11 +251,11 @@ TEST_P(LinkTest, PeerCloseDuringHandshakeClosesLink) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
+TEST(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::shared_ptr<Link> server_link;
   std::mutex link_mutex;
 
@@ -329,11 +324,11 @@ TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   link->CloseSync();
 }
 
-TEST_P(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
+TEST(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread client_thread([&] {
     auto conn = TcpConnection::Connect("127.0.0.1", listener->port());
     ASSERT_TRUE(conn.ok());
@@ -374,14 +369,14 @@ TEST_P(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
+TEST(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
   // The shaped-delivery pattern, driven directly: every frame pauses the
   // link and resumes it 20 ms later via the loop timer, so three frames
   // sent back-to-back must take >= 2 pacing gaps to deliver.
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::shared_ptr<Link> client_link;
   std::mutex link_mutex;
   constexpr uint64_t kGapNanos = 20'000'000;
@@ -494,7 +489,7 @@ Link::Callbacks AcceptingServerCallbacks(LinkHarness& harness) {
   return callbacks;
 }
 
-TEST_P(LinkTest, LargeFramesArriveIntactAndFreeTheirHolder) {
+TEST(LinkTest, LargeFramesArriveIntactAndFreeTheirHolder) {
   // Three 256 KiB frames sharing one payload holder: each is larger than
   // SO_SNDBUF, so the gathered send goes out in partial writes (or short
   // SENDMSG completions) that resume mid-frame.  The peer byte-checks
@@ -504,7 +499,7 @@ TEST_P(LinkTest, LargeFramesArriveIntactAndFreeTheirHolder) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   const auto payload = PatternPayload(256 * 1024);  // > SO_SNDBUF: partial sends
   constexpr int kFrames = 3;
   std::atomic<bool> peer_done{false};
@@ -542,7 +537,7 @@ TEST_P(LinkTest, LargeFramesArriveIntactAndFreeTheirHolder) {
   link->CloseSync();
 }
 
-TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
+TEST(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   // A peer that handshakes and then never reads again: the socket buffers
   // fill, the writer stops making progress, and the write-progress
   // deadline must close the link (on_closed fires, queued frames counted
@@ -550,7 +545,7 @@ TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::atomic<bool> release_peer{false};
   std::thread client([&] {
     auto conn = TcpConnection::Connect("127.0.0.1", listener->port());
@@ -595,8 +590,8 @@ TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   client.join();
 }
 
-TEST_P(LoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
-  EventLoop& loop = *loop_;
+TEST_F(LoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
+  EventLoop& loop = loop_;
   loop.Start();
 
   std::mutex mutex;
@@ -631,8 +626,8 @@ TEST_P(LoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
   loop.Stop();
 }
 
-TEST_P(LoopTimerTest, ZeroDelayFiresPromptly) {
-  EventLoop& loop = *loop_;
+TEST_F(LoopTimerTest, ZeroDelayFiresPromptly) {
+  EventLoop& loop = loop_;
   loop.Start();
   std::atomic<bool> fired{false};
   ASSERT_TRUE(loop.RunAfter(0, [&] { fired.store(true); }));
@@ -640,15 +635,15 @@ TEST_P(LoopTimerTest, ZeroDelayFiresPromptly) {
   loop.Stop();
 }
 
-TEST_P(LoopTimerTest, RunAfterRefusedAfterStop) {
-  EventLoop& loop = *loop_;
+TEST_F(LoopTimerTest, RunAfterRefusedAfterStop) {
+  EventLoop& loop = loop_;
   loop.Start();
   loop.Stop();
   EXPECT_FALSE(loop.RunAfter(1'000, [] {}));
 }
 
-TEST_P(LoopTimerTest, TimerReschedulingItselfDoesNotRefireInSameDrain) {
-  EventLoop& loop = *loop_;
+TEST_F(LoopTimerTest, TimerReschedulingItselfDoesNotRefireInSameDrain) {
+  EventLoop& loop = loop_;
   loop.Start();
   std::atomic<int> fired{0};
   std::function<void()> chain = [&] {

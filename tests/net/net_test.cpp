@@ -18,19 +18,16 @@
 namespace rsf::net {
 namespace {
 
+// Threadless: a blocking loopback connect completes into the listen
+// backlog, so the accept that follows returns at once.
 std::pair<TcpConnection, TcpConnection> MakePair() {
   auto listener = TcpListener::Listen(0);
   SFM_CHECK(listener.ok());
-  TcpConnection server;
-  std::thread acceptor([&] {
-    auto conn = listener->Accept();
-    SFM_CHECK(conn.ok());
-    server = *std::move(conn);
-  });
   auto client = TcpConnection::Connect("127.0.0.1", listener->port());
   SFM_CHECK(client.ok());
-  acceptor.join();
-  return {*std::move(client), std::move(server)};
+  auto server = listener->Accept();
+  SFM_CHECK(server.ok());
+  return {*std::move(client), *std::move(server)};
 }
 
 TEST(Socket, ListenerPicksEphemeralPort) {

@@ -3,9 +3,8 @@
 // RunSync teardown handshake, readiness dispatch, frames split across
 // arbitrary readiness events, mid-frame peer close, short-write resume,
 // drop-oldest eviction, and a mixed connect/disconnect stress that the CI
-// ThreadSanitizer job runs.  The loop suites are parameterized over both
-// I/O backends (backend_param.h); the FrameReader/FrameWriter suites drive
-// sockets directly and stay backend-free.
+// ThreadSanitizer job runs.  The loop suites run on a default EventLoop;
+// the FrameReader/FrameWriter suites drive sockets directly.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -17,7 +16,6 @@
 
 #include "common/clock.h"
 #include "common/endian.h"
-#include "backend_param.h"
 #include "net/framing.h"
 #include "net/poller.h"
 #include "net/socket.h"
@@ -25,25 +23,28 @@
 namespace rsf::net {
 namespace {
 
-class EventLoopBackends : public BackendParamTest {};
-RSF_INSTANTIATE_BACKEND_SUITE(EventLoopBackends);
+/// A default (not yet started) EventLoop, stopped after each test.
+class LoopTest : public ::testing::Test {
+ protected:
+  void TearDown() override { loop_.Stop(); }
 
-class PollerStress : public BackendParamTest {};
-RSF_INSTANTIATE_BACKEND_SUITE(PollerStress);
+  EventLoop loop_;
+};
+using EventLoopBackends = LoopTest;
+using PollerStress = LoopTest;
 
+// Threadless: a blocking loopback connect completes into the listen
+// backlog, so the accept that follows returns at once.  (A helper thread
+// would linger in /proc/self/task briefly after its join, which
+// ManyFdsOneThread counts.)
 std::pair<TcpConnection, TcpConnection> MakePair() {
   auto listener = TcpListener::Listen(0);
   SFM_CHECK(listener.ok());
-  TcpConnection server;
-  std::thread acceptor([&] {
-    auto conn = listener->Accept();
-    SFM_CHECK(conn.ok());
-    server = *std::move(conn);
-  });
   auto client = TcpConnection::Connect("127.0.0.1", listener->port());
   SFM_CHECK(client.ok());
-  acceptor.join();
-  return {*std::move(client), std::move(server)};
+  auto server = listener->Accept();
+  SFM_CHECK(server.ok());
+  return {*std::move(client), *std::move(server)};
 }
 
 size_t CountProcessThreads() {
@@ -68,8 +69,8 @@ bool WaitFor(Predicate predicate) {
   return predicate();
 }
 
-TEST_P(EventLoopBackends, PostRunsTaskOnLoopThread) {
-  EventLoop& loop = *loop_;
+TEST_F(EventLoopBackends, PostRunsTaskOnLoopThread) {
+  EventLoop& loop = loop_;
   loop.Start();
   std::atomic<bool> ran{false};
   std::thread::id loop_thread;
@@ -82,8 +83,8 @@ TEST_P(EventLoopBackends, PostRunsTaskOnLoopThread) {
   loop.Stop();
 }
 
-TEST_P(EventLoopBackends, RunSyncBlocksUntilExecuted) {
-  EventLoop& loop = *loop_;
+TEST_F(EventLoopBackends, RunSyncBlocksUntilExecuted) {
+  EventLoop& loop = loop_;
   loop.Start();
   int value = 0;
   loop.RunSync([&] { value = 42; });
@@ -94,8 +95,8 @@ TEST_P(EventLoopBackends, RunSyncBlocksUntilExecuted) {
   EXPECT_EQ(value, 43);
 }
 
-TEST_P(EventLoopBackends, StopRunsEveryAcceptedTask) {
-  EventLoop& loop = *loop_;
+TEST_F(EventLoopBackends, StopRunsEveryAcceptedTask) {
+  EventLoop& loop = loop_;
   loop.Start();
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
@@ -106,8 +107,8 @@ TEST_P(EventLoopBackends, StopRunsEveryAcceptedTask) {
   EXPECT_EQ(ran.load(), accepted);
 }
 
-TEST_P(EventLoopBackends, ReadableEventDispatches) {
-  EventLoop& loop = *loop_;
+TEST_F(EventLoopBackends, ReadableEventDispatches) {
+  EventLoop& loop = loop_;
   loop.Start();
   auto [client, server] = MakePair();
   ASSERT_TRUE(server.SetNonBlocking(true).ok());
@@ -127,8 +128,8 @@ TEST_P(EventLoopBackends, ReadableEventDispatches) {
   loop.Stop();
 }
 
-TEST_P(EventLoopBackends, RemoveInsideOwnCallbackIsSafe) {
-  EventLoop& loop = *loop_;
+TEST_F(EventLoopBackends, RemoveInsideOwnCallbackIsSafe) {
+  EventLoop& loop = loop_;
   loop.Start();
   auto [client, server] = MakePair();
   ASSERT_TRUE(server.SetNonBlocking(true).ok());
@@ -148,9 +149,9 @@ TEST_P(EventLoopBackends, RemoveInsideOwnCallbackIsSafe) {
   loop.Stop();
 }
 
-TEST_P(EventLoopBackends, ManyFdsOneThread) {
+TEST_F(EventLoopBackends, ManyFdsOneThread) {
   // The reactor promise: adding links adds NO threads.
-  EventLoop& loop = *loop_;
+  EventLoop& loop = loop_;
   loop.Start();
   const size_t before = CountProcessThreads();
   std::vector<std::pair<TcpConnection, TcpConnection>> pairs;
@@ -166,6 +167,24 @@ TEST_P(EventLoopBackends, ManyFdsOneThread) {
     for (auto& [client, server] : pairs) loop.Remove(server.fd());
   });
   loop.Stop();
+}
+
+TEST_F(EventLoopBackends, ReactorAssignsLeastLoadedLoop) {
+  // Two loops, three links: the third must land on whichever loop the
+  // first close vacated — live-link counts, not blind rotation.
+  EventLoop& a = loop_;
+  EventLoop b;
+  a.Start();
+  b.Start();
+  EXPECT_EQ(a.LiveLinks(), 0u);
+  a.NoteLinkBound();
+  a.NoteLinkBound();
+  b.NoteLinkBound();
+  EXPECT_EQ(a.LiveLinks(), 2u);
+  EXPECT_EQ(b.LiveLinks(), 1u);
+  a.NoteLinkClosed();
+  EXPECT_EQ(a.LiveLinks(), 1u);
+  b.Stop();
 }
 
 // ---- FrameReader ----
@@ -373,23 +392,20 @@ TEST(FrameWriter, GathersBurstIntoFewSyscalls) {
   // Two bursts of 8 frames (the initial gather budget): all small, and a
   // 64 KiB frame between small ones.  A large frame is gathered like any
   // other — it never closes the batch — so each burst leaves in a single
-  // sendmsg (readiness mode) or a single staged submission (completion
-  // mode) covering every header and payload.
+  // sendmsg covering every header and payload.
   const std::vector<uint32_t> bursts[] = {
       {16, 16, 16, 16, 16, 16, 16, 16},
       {16, 16, 16, 64 * 1024, 16, 16, 16, 16},
   };
   for (const auto& sizes : bursts) {
+    FrameWriter writer;
     size_t total = 0;
-    const auto enqueue_all = [&](FrameWriter& writer) {
-      total = 0;
-      for (size_t i = 0; i < sizes.size(); ++i) {
-        auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[sizes[i]]);
-        std::memset(payload.get(), static_cast<int>(i), sizes[i]);
-        writer.Enqueue(std::move(payload), sizes[i]);
-        total += sizeof(uint32_t) + sizes[i];
-      }
-    };
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[sizes[i]]);
+      std::memset(payload.get(), static_cast<int>(i), sizes[i]);
+      writer.Enqueue(std::move(payload), sizes[i]);
+      total += sizeof(uint32_t) + sizes[i];
+    }
 
     // Socket buffers sized like a transport link's, so the burst always
     // fits and the syscall count is the gather count.
@@ -397,24 +413,12 @@ TEST(FrameWriter, GathersBurstIntoFewSyscalls) {
     ASSERT_TRUE(ApplyTransportSocketOptions(client).ok());
     ASSERT_TRUE(ApplyTransportSocketOptions(server).ok());
     ASSERT_TRUE(client.SetNonBlocking(true).ok());
-    FrameWriter writer;
-    enqueue_all(writer);
     const uint64_t before = WriteSyscallCount();
     ASSERT_TRUE(writer.Flush(client).ok());
     EXPECT_FALSE(writer.HasPending());
     EXPECT_EQ(WriteSyscallCount() - before, 1u) << total << " bytes";
     EXPECT_EQ(writer.FramesWritten(), sizes.size());
-
-    FrameWriter staged_writer;
-    enqueue_all(staged_writer);
-    const std::span<const iovec> iov = staged_writer.StageSubmission();
-    EXPECT_EQ(iov.size(), 2 * sizes.size());  // header + payload per frame
-    size_t staged_bytes = 0;
-    for (const iovec& v : iov) staged_bytes += v.iov_len;
-    EXPECT_EQ(staged_bytes, total);
-    staged_writer.CommitStaged(staged_bytes);
-    EXPECT_FALSE(staged_writer.HasPending());
-    EXPECT_EQ(staged_writer.FramesWritten(), sizes.size());
+    EXPECT_EQ(writer.BytesWritten(), total);
   }
 }
 
@@ -525,8 +529,8 @@ TEST(FrameWriter, AdaptiveGatherBudgetGrowsWithDepthAndDecaysWhenShallow) {
 
 // ---- stress (runs under the CI ThreadSanitizer preset) ----
 
-TEST_P(PollerStress, MixedConnectDisconnectUnderLoad) {
-  EventLoop& loop = *loop_;
+TEST_F(PollerStress, MixedConnectDisconnectUnderLoad) {
+  EventLoop& loop = loop_;
   loop.Start();
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());

@@ -709,7 +709,9 @@ TEST_F(ShmMiddlewareTest, CrossProcessSubscriberKillReclaimsBlocks) {
   // The tier survives the crash: the pool still serves blocks.
   uint8_t* block = sfm::shm::TryAcquire(kCls);
   EXPECT_NE(block, nullptr);
-  if (block != nullptr) EXPECT_TRUE(sfm::shm::ReleaseIfOwned(block));
+  if (block != nullptr) {
+    EXPECT_TRUE(sfm::shm::ReleaseIfOwned(block));
+  }
 }
 
 }  // namespace

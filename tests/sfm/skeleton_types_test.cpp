@@ -57,7 +57,7 @@ TEST(SfmString, StdStringInterop) {
   EXPECT_EQ(msg->encoding.substr(0, 5), "bayer");
   EXPECT_EQ(msg->encoding[5], '_');
   EXPECT_EQ(msg->encoding.at(0), 'b');
-  EXPECT_THROW(msg->encoding.at(99), std::out_of_range);
+  EXPECT_THROW((void)msg->encoding.at(99), std::out_of_range);
   EXPECT_EQ(msg->encoding.front(), 'b');
   EXPECT_EQ(msg->encoding.back(), '8');
 }
