@@ -1,13 +1,11 @@
-// Backend parameterization for the net-layer tests: every reactor/link
-// suite runs once per IoBackendKind, so the io_uring submission paths get
-// the same coverage as epoll.  Uring cases skip — with a logged reason,
-// never a silent pass — on hosts where the setup probe fails (seccomp,
-// pre-5.1 kernel).
+// Backend parameterization for the net-layer tests.  EventLoop has one
+// backend, epoll; the reactor and link suites stay instantiated over
+// IoBackendKind so each case is named for the backend it ran on
+// (Backends/<Suite>.<Test>/epoll), the same name perfbench records.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "net/io_backend.h"
@@ -15,32 +13,15 @@
 
 namespace rsf::net {
 
-/// Skip-only base: suites that build their own loops (LinkHarness) derive
-/// from this and read GetParam() themselves.
-class BackendSkipTest : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kUring && !UringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this host (io_uring_setup "
-                      "probe failed — seccomp or pre-5.1 kernel); uring "
-                      "backend cases skipped";
-    }
-  }
-};
+/// Suites that build their own loops (LinkHarness) derive from this.
+class BackendTest : public ::testing::TestWithParam<IoBackendKind> {};
 
-/// Skip + a ready-made loop on the parameterized backend.
-class BackendParamTest : public BackendSkipTest {
+/// A default (not yet started) EventLoop, stopped after each test.
+class BackendParamTest : public BackendTest {
  protected:
-  void SetUp() override {
-    BackendSkipTest::SetUp();
-    if (IsSkipped()) return;
-    loop_ = std::make_unique<EventLoop>(GetParam());
-  }
-  void TearDown() override {
-    if (loop_ != nullptr) loop_->Stop();
-  }
+  void TearDown() override { loop_.Stop(); }
 
-  std::unique_ptr<EventLoop> loop_;
+  EventLoop loop_;
 };
 
 inline std::string BackendParamName(
@@ -50,8 +31,7 @@ inline std::string BackendParamName(
 
 #define RSF_INSTANTIATE_BACKEND_SUITE(suite)                             \
   INSTANTIATE_TEST_SUITE_P(Backends, suite,                              \
-                           ::testing::Values(IoBackendKind::kEpoll,      \
-                                             IoBackendKind::kUring),     \
+                           ::testing::Values(IoBackendKind::kEpoll),     \
                            BackendParamName)
 
 }  // namespace rsf::net

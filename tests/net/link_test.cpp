@@ -3,7 +3,8 @@
 // connect success / refusal / timeout, handshakes split across partial
 // reads, peer close mid-handshake, server-role accept and reject (the
 // Draining flush), and timer-paced pause/resume delivery.  The CI
-// ThreadSanitizer job runs this whole binary.
+// ThreadSanitizer job runs this whole binary.  Every suite is
+// instantiated per I/O backend (backend_param.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "backend_param.h"
 #include "net/framing.h"
 #include "net/link.h"
 #include "net/poller.h"
@@ -21,13 +23,14 @@
 namespace rsf::net {
 namespace {
 
-/// A default (not yet started) EventLoop, stopped after each test.
-class LoopTimerTest : public ::testing::Test {
- protected:
-  void TearDown() override { loop_.Stop(); }
+class LinkTest : public BackendTest {};
+RSF_INSTANTIATE_BACKEND_SUITE(LinkTest);
 
-  EventLoop loop_;
-};
+class LinkWriteTimeoutTest : public BackendTest {};
+RSF_INSTANTIATE_BACKEND_SUITE(LinkWriteTimeoutTest);
+
+class LoopTimerTest : public BackendParamTest {};
+RSF_INSTANTIATE_BACKEND_SUITE(LoopTimerTest);
 
 // Spins until `predicate` holds or ~5 s pass (link transitions happen on
 // the loop thread; tests observe them from the main thread).
@@ -112,7 +115,7 @@ void RunServerPeer(
   if (body) body(*conn);
 }
 
-TEST(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
+TEST_P(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
@@ -145,7 +148,7 @@ TEST(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST(LinkTest, DialRefusedReportsClosedNeverEstablished) {
+TEST_P(LinkTest, DialRefusedReportsClosedNeverEstablished) {
   // Grab an ephemeral port, then close the listener so the dial is refused.
   uint16_t dead_port = 0;
   {
@@ -164,7 +167,7 @@ TEST(LinkTest, DialRefusedReportsClosedNeverEstablished) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST(LinkTest, DialToBlackholePeerTimesOut) {
+TEST_P(LinkTest, DialToBlackholePeerTimesOut) {
   // RFC 5737 TEST-NET-1 is guaranteed unrouted: the connect either hangs
   // until the link's own timer fires (the case under test) or fails fast
   // with EHOSTUNREACH/ENETUNREACH in constrained sandboxes — both must
@@ -179,7 +182,7 @@ TEST(LinkTest, DialToBlackholePeerTimesOut) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
+TEST_P(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
@@ -220,7 +223,7 @@ TEST(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
   EXPECT_EQ(link->stats().frames_received, 1u);
 }
 
-TEST(LinkTest, PeerCloseDuringHandshakeClosesLink) {
+TEST_P(LinkTest, PeerCloseDuringHandshakeClosesLink) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
@@ -251,7 +254,7 @@ TEST(LinkTest, PeerCloseDuringHandshakeClosesLink) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
+TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
@@ -324,7 +327,7 @@ TEST(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   link->CloseSync();
 }
 
-TEST(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
+TEST_P(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
@@ -369,7 +372,7 @@ TEST(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
   EXPECT_EQ(link->state(), Link::State::kClosed);
 }
 
-TEST(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
+TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
   // The shaped-delivery pattern, driven directly: every frame pauses the
   // link and resumes it 20 ms later via the loop timer, so three frames
   // sent back-to-back must take >= 2 pacing gaps to deliver.
@@ -489,7 +492,7 @@ Link::Callbacks AcceptingServerCallbacks(LinkHarness& harness) {
   return callbacks;
 }
 
-TEST(LinkTest, LargeFramesArriveIntactAndFreeTheirHolder) {
+TEST_P(LinkTest, LargeFramesArriveIntactAndFreeTheirHolder) {
   // Three 256 KiB frames sharing one payload holder: each is larger than
   // SO_SNDBUF, so the gathered send goes out in partial writes (or short
   // SENDMSG completions) that resume mid-frame.  The peer byte-checks
@@ -537,7 +540,7 @@ TEST(LinkTest, LargeFramesArriveIntactAndFreeTheirHolder) {
   link->CloseSync();
 }
 
-TEST(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
+TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   // A peer that handshakes and then never reads again: the socket buffers
   // fill, the writer stops making progress, and the write-progress
   // deadline must close the link (on_closed fires, queued frames counted
@@ -590,7 +593,7 @@ TEST(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   client.join();
 }
 
-TEST_F(LoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
+TEST_P(LoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
   EventLoop& loop = loop_;
   loop.Start();
 
@@ -626,7 +629,7 @@ TEST_F(LoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
   loop.Stop();
 }
 
-TEST_F(LoopTimerTest, ZeroDelayFiresPromptly) {
+TEST_P(LoopTimerTest, ZeroDelayFiresPromptly) {
   EventLoop& loop = loop_;
   loop.Start();
   std::atomic<bool> fired{false};
@@ -635,14 +638,14 @@ TEST_F(LoopTimerTest, ZeroDelayFiresPromptly) {
   loop.Stop();
 }
 
-TEST_F(LoopTimerTest, RunAfterRefusedAfterStop) {
+TEST_P(LoopTimerTest, RunAfterRefusedAfterStop) {
   EventLoop& loop = loop_;
   loop.Start();
   loop.Stop();
   EXPECT_FALSE(loop.RunAfter(1'000, [] {}));
 }
 
-TEST_F(LoopTimerTest, TimerReschedulingItselfDoesNotRefireInSameDrain) {
+TEST_P(LoopTimerTest, TimerReschedulingItselfDoesNotRefireInSameDrain) {
   EventLoop& loop = loop_;
   loop.Start();
   std::atomic<int> fired{0};

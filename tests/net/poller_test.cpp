@@ -3,8 +3,9 @@
 // RunSync teardown handshake, readiness dispatch, frames split across
 // arbitrary readiness events, mid-frame peer close, short-write resume,
 // drop-oldest eviction, and a mixed connect/disconnect stress that the CI
-// ThreadSanitizer job runs.  The loop suites run on a default EventLoop;
-// the FrameReader/FrameWriter suites drive sockets directly.
+// ThreadSanitizer job runs.  The loop suites are instantiated per I/O
+// backend (backend_param.h); the FrameReader/FrameWriter suites drive
+// sockets directly and stay backend-free.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -16,6 +17,7 @@
 
 #include "common/clock.h"
 #include "common/endian.h"
+#include "backend_param.h"
 #include "net/framing.h"
 #include "net/poller.h"
 #include "net/socket.h"
@@ -23,15 +25,11 @@
 namespace rsf::net {
 namespace {
 
-/// A default (not yet started) EventLoop, stopped after each test.
-class LoopTest : public ::testing::Test {
- protected:
-  void TearDown() override { loop_.Stop(); }
+class EventLoopBackends : public BackendParamTest {};
+RSF_INSTANTIATE_BACKEND_SUITE(EventLoopBackends);
 
-  EventLoop loop_;
-};
-using EventLoopBackends = LoopTest;
-using PollerStress = LoopTest;
+class PollerStress : public BackendParamTest {};
+RSF_INSTANTIATE_BACKEND_SUITE(PollerStress);
 
 // Threadless: a blocking loopback connect completes into the listen
 // backlog, so the accept that follows returns at once.  (A helper thread
@@ -69,7 +67,7 @@ bool WaitFor(Predicate predicate) {
   return predicate();
 }
 
-TEST_F(EventLoopBackends, PostRunsTaskOnLoopThread) {
+TEST_P(EventLoopBackends, PostRunsTaskOnLoopThread) {
   EventLoop& loop = loop_;
   loop.Start();
   std::atomic<bool> ran{false};
@@ -83,7 +81,7 @@ TEST_F(EventLoopBackends, PostRunsTaskOnLoopThread) {
   loop.Stop();
 }
 
-TEST_F(EventLoopBackends, RunSyncBlocksUntilExecuted) {
+TEST_P(EventLoopBackends, RunSyncBlocksUntilExecuted) {
   EventLoop& loop = loop_;
   loop.Start();
   int value = 0;
@@ -95,7 +93,7 @@ TEST_F(EventLoopBackends, RunSyncBlocksUntilExecuted) {
   EXPECT_EQ(value, 43);
 }
 
-TEST_F(EventLoopBackends, StopRunsEveryAcceptedTask) {
+TEST_P(EventLoopBackends, StopRunsEveryAcceptedTask) {
   EventLoop& loop = loop_;
   loop.Start();
   std::atomic<int> ran{0};
@@ -107,7 +105,7 @@ TEST_F(EventLoopBackends, StopRunsEveryAcceptedTask) {
   EXPECT_EQ(ran.load(), accepted);
 }
 
-TEST_F(EventLoopBackends, ReadableEventDispatches) {
+TEST_P(EventLoopBackends, ReadableEventDispatches) {
   EventLoop& loop = loop_;
   loop.Start();
   auto [client, server] = MakePair();
@@ -128,7 +126,7 @@ TEST_F(EventLoopBackends, ReadableEventDispatches) {
   loop.Stop();
 }
 
-TEST_F(EventLoopBackends, RemoveInsideOwnCallbackIsSafe) {
+TEST_P(EventLoopBackends, RemoveInsideOwnCallbackIsSafe) {
   EventLoop& loop = loop_;
   loop.Start();
   auto [client, server] = MakePair();
@@ -149,7 +147,7 @@ TEST_F(EventLoopBackends, RemoveInsideOwnCallbackIsSafe) {
   loop.Stop();
 }
 
-TEST_F(EventLoopBackends, ManyFdsOneThread) {
+TEST_P(EventLoopBackends, ManyFdsOneThread) {
   // The reactor promise: adding links adds NO threads.
   EventLoop& loop = loop_;
   loop.Start();
@@ -167,24 +165,6 @@ TEST_F(EventLoopBackends, ManyFdsOneThread) {
     for (auto& [client, server] : pairs) loop.Remove(server.fd());
   });
   loop.Stop();
-}
-
-TEST_F(EventLoopBackends, ReactorAssignsLeastLoadedLoop) {
-  // Two loops, three links: the third must land on whichever loop the
-  // first close vacated — live-link counts, not blind rotation.
-  EventLoop& a = loop_;
-  EventLoop b;
-  a.Start();
-  b.Start();
-  EXPECT_EQ(a.LiveLinks(), 0u);
-  a.NoteLinkBound();
-  a.NoteLinkBound();
-  b.NoteLinkBound();
-  EXPECT_EQ(a.LiveLinks(), 2u);
-  EXPECT_EQ(b.LiveLinks(), 1u);
-  a.NoteLinkClosed();
-  EXPECT_EQ(a.LiveLinks(), 1u);
-  b.Stop();
 }
 
 // ---- FrameReader ----
@@ -529,7 +509,7 @@ TEST(FrameWriter, AdaptiveGatherBudgetGrowsWithDepthAndDecaysWhenShallow) {
 
 // ---- stress (runs under the CI ThreadSanitizer preset) ----
 
-TEST_F(PollerStress, MixedConnectDisconnectUnderLoad) {
+TEST_P(PollerStress, MixedConnectDisconnectUnderLoad) {
   EventLoop& loop = loop_;
   loop.Start();
   auto listener = TcpListener::Listen(0);
